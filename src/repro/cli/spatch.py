@@ -223,8 +223,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of the run's "
                              "phase spans (parse, prefilter, match, "
-                             "transform, memo, splice) to FILE — open it in "
-                             "chrome://tracing or Perfetto")
+                             "transform, memo, splice, serialize) to FILE — "
+                             "open it in chrome://tracing or Perfetto")
     parser.add_argument("--journal", metavar="FILE", default=None,
                         help="append structured JSONL telemetry events "
                              "(one per --watch iteration) to FILE")
@@ -296,6 +296,10 @@ def _print_counter_lines(codebase: CodeBase, memo=None) -> None:
         print(f"# token index: {counters['scan_hits']} cached scan(s) "
               f"reused, {counters['scan_misses']} fresh scan(s)",
               file=sys.stderr)
+    from ..engine.report import diff_renders
+
+    print(f"# report (process): {diff_renders()} diff render(s)",
+          file=sys.stderr)
     matcher = matcher_counters()
     print(f"# matcher (process): {matcher['rules_compiled']} rule(s) "
           f"compiled, {matcher['rules_fallback']} interpreted fallback(s), "
@@ -321,7 +325,8 @@ def _print_json(result, patches: list[SemanticPatch], codebase: CodeBase,
     byte-for-byte on the deterministic sections."""
     from ..engine.cache import DEFAULT_TREE_CACHE
 
-    payload = result_payload(result, patches)
+    with _obs.phase("serialize"):
+        payload = result_payload(result, patches)
     if profile:
         payload["profile"] = profile_payload(result,
                                              cache=DEFAULT_TREE_CACHE,

@@ -329,10 +329,12 @@ class Driver:
             if self.prefilter is None:
                 session_files.append((name, text, None))
                 continue
-            tokens = token_index.tokens_of(name, text) if token_index is not None \
-                else None
-            plan = self.prefilter.plan_for(tokens) if tokens is not None \
-                else self.prefilter.plan_for_text(text)
+            if token_index is not None:
+                plan = self.prefilter.plan_for(
+                    token_index.tokens_of(name, text))
+            else:
+                with _obs.phase("prefilter"):
+                    plan = self.prefilter.plan_for_text(text)
             if not plan.needs_session:
                 skipped[name] = FileResult(filename=name, original_text=text,
                                            text=text)

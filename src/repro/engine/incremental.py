@@ -78,8 +78,9 @@ from .cache import TreeCache, content_sha1
 from .driver import (_M_WORKER_HITS, _M_WORKER_MISSES,
                      parallel_preserves_semantics)
 from .pipeline import (FileRecord, PatchPipeline, PipelineResult,
-                       PipelineStats, _FileOutcome, boundary_hashes)
-from .prefilter import TokenIndex, scan_token_set
+                       PipelineStats, _FileOutcome, adopt_sole_edit,
+                       boundary_hashes, timed_scan)
+from .prefilter import TokenIndex
 from .report import FileResult
 
 #: format tag for persisted pipeline states; bump on incompatible changes
@@ -374,7 +375,7 @@ class IncrementalPipeline:
             tokens: Optional[frozenset[str]] = None
             if pipeline.prefilter is not None:
                 tokens = token_index.tokens_of(name, text) \
-                    if token_index is not None else scan_token_set(text)
+                    if token_index is not None else timed_scan(text)
                 if not pipeline.prefilter.needs_any_session(tokens):
                     skipped.add(name)
                     stats.files_skipped += 1
@@ -506,13 +507,14 @@ class IncrementalPipeline:
                        + tuple(outcome.rules_gated))
         all_results = prefix_results + outcome.results
         final_text = all_results[-1].text if all_results else text
-        result.files[name] = FileResult(
+        combined = result.files[name] = FileResult(
             filename=name, original_text=text, text=final_text,
             rule_reports=[replace(report) for cached in prefix_results
                           for report in cached.rule_reports]
                          + [report for fresh in outcome.results
                             for report in fresh.rule_reports],
             diagnostics=[d for fr in all_results for d in fr.diagnostics])
+        adopt_sole_edit(combined, all_results)
         boundary_text = prefix_results[-1].text
         result.records[name] = FileRecord(
             sha1=record.sha1, skipped=False, ran=ran, rules_gated=rules_gated,

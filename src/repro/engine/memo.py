@@ -12,7 +12,9 @@ keyed on
     ``(sha1 of the text entering the patch, patch fingerprint, mode flags)``
 
 and maps to what the session produced — the output text (stored only when
-the patch edited the file), the per-rule reports and the diagnostics.
+the patch edited the file), the per-rule reports, the diagnostics and, for
+an edit, the rendered diff hunks and their +/- line counts (so a hit seeds
+its :class:`~repro.engine.report.FileResult` without running ``difflib``).
 Prefix, suffix, reorder, cross-file, cross-workspace and (with the on-disk
 tier) cross-process reuse all fall out of this one mechanism.
 
@@ -77,8 +79,9 @@ from .cache import content_sha1
 from .report import FileResult, RuleReport
 
 #: format tag for on-disk entries; bump on incompatible layout changes
-#: (stale-versioned entries degrade to a miss, never to wrong output)
-_DISK_VERSION = 1
+#: (stale-versioned entries degrade to a miss, never to wrong output).
+#: v2: entries carry their diff hunks and line counts
+_DISK_VERSION = 2
 
 _M_HITS = _obs.REGISTRY.counter(
     "repro_memo_lookups_total", "Transform-memo lookups", result="hit")
@@ -112,6 +115,14 @@ class MemoEntry:
     #: ``(rule, matches, deletions, insertions)`` per emitted report
     reports: tuple[tuple[str, int, int, int], ...]
     diagnostics: tuple
+    #: the edit's diff without its ``---``/``+++`` header lines, and that
+    #: body's share of the +/- line counts (see
+    #: :meth:`~repro.engine.report.FileResult.hunks`); the header is
+    #: re-rendered from the caller's filename, so entries stay
+    #: filename-portable.  ``None`` when unchanged or never rendered
+    hunks: Optional[str] = None
+    added: int = 0
+    removed: int = 0
 
     @property
     def changed(self) -> bool:
@@ -119,8 +130,9 @@ class MemoEntry:
 
     def to_file_result(self, filename: str, input_text: str) -> FileResult:
         """Rebuild the exact :class:`~repro.engine.report.FileResult` a cold
-        session over ``input_text`` would return."""
-        return FileResult(
+        session over ``input_text`` would return, its diff already
+        rendered."""
+        file_result = FileResult(
             filename=filename, original_text=input_text,
             text=self.text if self.text is not None else input_text,
             rule_reports=[RuleReport(rule=rule, matches=matches,
@@ -129,10 +141,17 @@ class MemoEntry:
                           for rule, matches, deletions, insertions
                           in self.reports],
             diagnostics=list(self.diagnostics))
+        if self.hunks is not None:
+            file_result.seed_hunks(self.hunks, self.added, self.removed)
+        return file_result
 
     @classmethod
     def from_file_result(cls, file_result: FileResult) -> "MemoEntry":
+        """The entry for one freshly computed session; an edit's diff is
+        rendered here (once: the result keeps it too)."""
         changed = file_result.text != file_result.original_text
+        hunks, added, removed = file_result.hunks() if changed \
+            else (None, 0, 0)
         return cls(
             filename=file_result.filename,
             text=file_result.text if changed else None,
@@ -140,7 +159,8 @@ class MemoEntry:
             reports=tuple((report.rule, report.matches, report.deletions,
                            report.insertions)
                           for report in file_result.rule_reports),
-            diagnostics=tuple(file_result.diagnostics))
+            diagnostics=tuple(file_result.diagnostics),
+            hunks=hunks, added=added, removed=removed)
 
 
 def memo_flags(prefilter: bool, compiled: bool) -> str:

@@ -281,6 +281,22 @@ def boundary_hashes(results, input_text: str, input_sha: str,
     return tuple(boundaries)
 
 
+def timed_scan(text: str) -> frozenset[str]:
+    """:func:`~repro.engine.prefilter.scan_token_set` under the
+    ``prefilter`` phase: the fallback scan when no token index is passed
+    (:meth:`~repro.engine.prefilter.TokenIndex.tokens_of` times its own)."""
+    with _obs.phase("prefilter"):
+        return scan_token_set(text)
+
+
+def adopt_sole_edit(combined: FileResult, results) -> None:
+    """When exactly one patch of the chain edited the file, the combined
+    view's diff *is* that patch's diff: take its render if it has one."""
+    edits = [file_result for file_result in results if file_result.changed]
+    if len(edits) == 1:
+        combined.adopt_diff(edits[0])
+
+
 class PipelinePrefilter:
     """Whole-pipeline skip decisions over the union of per-patch prefilters.
 
@@ -348,7 +364,9 @@ def _apply_patches_to_file(engines, prefilters, filename: str, text: str,
                 # its plan without re-scanning every word of the file; the
                 # shared set stays unset and the next edited boundary scans
                 # its own (typically different) query.
-                plan = prefilter.plan_for(prefilter.scan_query(text))
+                with _obs.phase("prefilter"):
+                    query_tokens = prefilter.scan_query(text)
+                plan = prefilter.plan_for(query_tokens)
             else:
                 plan = prefilter.plan_for(tokens)
             if not plan.needs_session:
@@ -572,7 +590,7 @@ class PatchPipeline:
                 work.append((name, text, None, 0))
                 continue
             tokens = token_index.tokens_of(name, text) if token_index is not None \
-                else scan_token_set(text)
+                else timed_scan(text)
             if self.prefilter.needs_any_session(tokens):
                 work.append((name, text, tokens, 0))
             else:
@@ -729,12 +747,13 @@ class PatchPipeline:
         stats.sessions_gated += len(self.patches) - sum(outcome.ran)
         stats.rules_gated += sum(outcome.rules_gated)
         final_text = outcome.results[-1].text if outcome.results else text
-        result.files[name] = FileResult(
+        combined = result.files[name] = FileResult(
             filename=name, original_text=text, text=final_text,
             rule_reports=[r for fr in outcome.results
                           for r in fr.rule_reports],
             diagnostics=[d for fr in outcome.results
                          for d in fr.diagnostics])
+        adopt_sole_edit(combined, outcome.results)
 
     def _run_finalize(self, result: PipelineResult,
                       per_patch_stats: list[DriverStats]) -> None:

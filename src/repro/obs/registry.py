@@ -49,7 +49,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 #: the span/histogram phase vocabulary shared by tracer and registry
 PHASES = ("parse", "prefilter", "match", "transform", "memo",
-          "splice", "sync")
+          "splice", "sync", "serialize")
 
 _DISABLED_VALUES = ("0", "off", "no", "false")
 

@@ -234,9 +234,10 @@ class _FleetWorker:
         if job.get("store", True):
             mirror.last = result
             self._save(name, mirror)
-        payload = result_payload(result, built,
-                                 include_diff=job.get("diff", True),
-                                 include_texts=job.get("texts", False))
+        with _obs.phase("serialize"):
+            payload = result_payload(result, built,
+                                     include_diff=job.get("diff", True),
+                                     include_texts=job.get("texts", False))
         if job.get("profile"):
             payload["profile"] = profile_payload(
                 result, cache=mirror.cache,
@@ -275,7 +276,12 @@ class _FleetWorker:
         }
 
 
-def _fleet_worker_main(conn, config: dict) -> None:
+def _fleet_worker_main(conn, config: dict, inherited: list) -> None:
+    # the fork copied the parent's end of this worker's own pipe and of
+    # every sibling's: while any copy stays open here, recv() never sees
+    # EOF and a worker outlives a daemon killed -9 (reparented to init)
+    for parent_end in inherited:
+        parent_end.close()
     _FleetWorker(conn, config).run()
 
 
@@ -310,15 +316,18 @@ class ApplyFleet:
                         "state_root": os.fspath(state_root)
                         if state_root is not None else None}
         self._ctx = multiprocessing.get_context("fork")
-        self._handles: list[_WorkerHandle] = [
-            self._spawn(index) for index in range(workers)]
+        self._handles: list[_WorkerHandle] = []
+        for index in range(workers):
+            self._handles.append(self._spawn(index))
         self.respawns = 0
         self._closed = False
 
     def _spawn(self, index: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [parent_conn] + [handle.conn for handle in self._handles]
         process = self._ctx.Process(
-            target=_fleet_worker_main, args=(child_conn, self._config),
+            target=_fleet_worker_main,
+            args=(child_conn, self._config, inherited),
             name=f"spatchd-fleet-{index}", daemon=True)
         process.start()
         child_conn.close()

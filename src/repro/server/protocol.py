@@ -280,8 +280,8 @@ def profile_payload(result, *, cache=None, token_index=None,
     payload["matcher"] = matcher_counters()
     if _obs.enabled():
         # per-phase wall-time histograms from the metrics registry (parse,
-        # prefilter, match, transform, memo, splice, sync) — only phases
-        # that actually observed something appear
+        # prefilter, match, transform, memo, splice, sync, serialize) — only
+        # phases that actually observed something appear
         phases = _obs.phase_summaries()
         if phases:
             payload["phases"] = phases

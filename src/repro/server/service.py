@@ -633,8 +633,9 @@ class PatchService:
             if store:
                 workspace.last = result
                 self._save_workspace(workspace)
-            payload = result_payload(result, built, include_diff=diff,
-                                     include_texts=texts)
+            with _obs.phase("serialize"):
+                payload = result_payload(result, built, include_diff=diff,
+                                         include_texts=texts)
             payload["workspace"] = name
             if profile:
                 payload["profile"] = profile_payload(
@@ -724,8 +725,9 @@ class PatchService:
             # codebase under the workspace lock this path must not take;
             # the prefilter falls back to direct token scans
             result = pipeline.run(files, since=since, token_index=None)
-            payload = result_payload(result, built, include_diff=False,
-                                     include_texts=False)
+            with _obs.phase("serialize"):
+                payload = result_payload(result, built, include_diff=False,
+                                         include_texts=False)
             payload["workspace"] = name
             if profile:
                 payload["profile"] = profile_payload(

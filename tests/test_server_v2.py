@@ -529,6 +529,48 @@ class TestKillDashNine:
                 process.kill()
                 process.wait()
 
+    def test_sigkill_leaves_no_fleet_worker_behind(self, tmp_path):
+        """Each worker must see EOF on its pipe once the daemon dies: a
+        worker still holding a copy of a parent-side pipe end would never
+        see it and outlive the daemon, reparented to init."""
+        sock = str(tmp_path / "orphans.sock")
+        process = _spawn_daemon(tmp_path, sock, "--workers", "2")
+        pids = []
+        try:
+            with RemoteClient(f"unix:{sock}") as client:
+                rows = client.stats()["fleet"]["per_worker"]
+                pids = [row["pid"] for row in rows]
+            assert len(pids) == 2 and process.pid not in pids
+            os.kill(process.pid, signal.SIGKILL)
+            process.wait(timeout=15.0)
+            deadline = time.time() + 5.0
+            alive = pids
+            while alive and time.time() < deadline:
+                time.sleep(0.05)
+                alive = [pid for pid in alive if _pid_alive(pid)]
+            assert not alive, f"fleet workers outlived the daemon: {alive}"
+        finally:
+            if process.poll() is None:  # pragma: no cover - failure path
+                process.kill()
+                process.wait()
+            for pid in pids:  # pragma: no cover - failure path
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an exited child of init is reaped at
+    once; a zombie of ours would be ``Z`` in /proc and counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().split(") ", 1)[1][:1] != "Z"
+    except OSError:
+        return True
+
 
 # ---------------------------------------------------------------------------
 # CLI resilience and flags
